@@ -177,12 +177,12 @@ class GPUBackend(SamplingBackend):
             current = np.empty(pop, dtype=np.float64)
             proposed = np.empty(pop, dtype=np.float64)
             for indices in complex_indices:
+                # Members and proposals as one query stack: queries do not
+                # interact, so the split halves are the per-stack results.
                 ref = population_scores[indices]
-                current[indices] = fitness_against(
-                    ref, population_scores[indices], block_size=chunk
-                )
-                proposed[indices] = fitness_against(
-                    ref, proposal_scores[indices], block_size=chunk
+                queries = np.concatenate([ref, proposal_scores[indices]])
+                current[indices], proposed[indices] = np.split(
+                    fitness_against(ref, queries, block_size=chunk), 2
                 )
             return current, proposed
 

@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.analysis.pareto import crowding_distance
-from repro.moscem.dominance import non_dominated_mask, strength_fitness
+from repro.moscem.dominance import strength_fitness
 from repro.utils.rng import stable_name_key
 
 __all__ = [
@@ -320,7 +320,9 @@ def select_emigrants(
         fitness = strength_fitness(scores)
         return np.asarray(np.argsort(fitness, kind="stable")[:k], dtype=np.int64)
     if selection == "crowding":
-        front = np.where(non_dominated_mask(scores))[0]
+        fitness = strength_fitness(scores)
+        # Eq. (1): fitness < 1 exactly on the non-dominated front.
+        front = np.flatnonzero(fitness < 1.0)
         # Most-isolated front members first (boundary members carry inf
         # crowding distance); stable sort keeps index order on ties.
         order = front[np.argsort(-crowding_distance(scores[front]), kind="stable")]
@@ -328,7 +330,6 @@ def select_emigrants(
             return np.asarray(order[:k], dtype=np.int64)
         # Front smaller than k: top up with the best remaining by fitness.
         chosen = set(int(i) for i in order)
-        fitness = strength_fitness(scores)
         rest = [
             int(i)
             for i in np.argsort(fitness, kind="stable")

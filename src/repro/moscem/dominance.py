@@ -15,19 +15,47 @@ in at least one.  Following the paper:
 Hence "fitness < 1" identifies the current Pareto-optimal front, the
 property the sampler uses when harvesting decoys.
 
-The fitness kernels never materialise the full ``(N, N)`` dominance matrix:
-they stream over column blocks (the population-chunking helpers of
-:mod:`repro.scoring.pairwise`, sized by ``SamplingConfig.kernel_block_size``)
-so the peak temporary is ``(N, B, K)``.  Every accumulation is either integer
-(domination counts, any-reductions) or a full-length reduction along the
-unchunked axis, so the chunked results are bit-identical to the dense path
-for every block size.
+Front-first algorithm
+---------------------
+Eq. (1) needs only the non-dominated mask and the dominance relation
+between front members and everyone else, so the kernels never compare all
+``N^2`` member pairs.  One core pass (:func:`_front_pass`) sorts the members
+lexicographically (``np.lexsort``, column 0 first) and walks the sorted order
+in blocks of ``B`` members (the population-chunking helpers of
+:mod:`repro.scoring.pairwise`, sized by ``SamplingConfig.kernel_block_size``).
+A candidate is compared with the front found so far and with its own block;
+the front members of the block join the front.  This is the maxima filter of
+Kung, Luccio & Preparata (JACM 1975).  It is exact:
+
+* if ``a`` dominates ``b`` then ``a`` precedes ``b`` strictly in lex order,
+  so only earlier members (the earlier blocks or the own block) can
+  dominate a candidate;
+* dominance is transitive and acyclic, so every dominated member is
+  dominated by some front member — the earlier front suffices;
+* the same comparisons see every member a front member dominates (all lie
+  after it), so they also yield its integer domination count.
+
+:func:`strength_fitness` then compares the front ``F`` with the dominated
+members once more to sum, per dominated member, the integer counts of its
+dominators; :func:`fitness_against` compares the queries with the reference
+front only (a query dominated by any reference member is dominated by a
+front member) and with the whole reference set only for the queries that
+stay non-dominated.  Every accumulation is integer (domination counts,
+count sums, any-reductions) and each fitness takes one division by ``n``, so
+the results are bit-identical to the all-pairs definition for every block
+size.
+
+Cost: ``O(N log N)`` for the sort plus at most ``N·(2|F| + B)`` member
+pairs compared for :func:`strength_fitness` (``N·(|F| + B)`` for
+:func:`non_dominated_mask`); their peak temporary is one comparison block
+of shape ``(max(|F|, B), B, K)``.  :func:`fitness_against` adds ``Q·|F|``
+pairs for ``Q`` queries, plus ``N`` per query that stays non-dominated.
 
 The per-block comparison itself — the only dense array math here — is the
 generic :func:`_dominance_columns` kernel registered with the
-:mod:`repro.xp` facade; the streaming passes are host orchestration and
-take an optional :class:`~repro.xp.dispatch.KernelBundle` to route the
-block comparisons through a compiled namespace.
+:mod:`repro.xp` facade; the passes are host orchestration and take an
+optional :class:`~repro.xp.dispatch.KernelBundle` to route the block
+comparisons through a compiled namespace.
 """
 
 from __future__ import annotations
@@ -95,28 +123,47 @@ def _dominance_block(
     return kernels.to_numpy(kernels.dominance_columns(scores, column_scores))
 
 
-def _strength_pass(
+def _front_pass(
     scores: np.ndarray,
     block_size: Optional[int],
     kernels: Optional["KernelBundle"] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Chunked first pass: non-dominated mask and integer domination counts.
+    """Non-dominated mask and integer domination counts of a score set.
 
-    Streams column blocks of the dominance matrix; the dominated mask is an
-    any-reduction and the domination counts are integer sums, so the result
-    does not depend on the block size.  Counts of dominated members are
-    zeroed — they never contribute to fitness sums.
+    Walks the lexicographically sorted members block by block; a candidate
+    is compared with the front found so far and with its own block, which
+    is exact because only lex-earlier members can dominate it.  The same
+    comparisons give every front member's full domination count.  Counts
+    of dominated members are zero — they never contribute to fitness sums.
     """
-    n = scores.shape[0]
+    n, k = scores.shape
+    # Column 0 is the primary key (lexsort sorts by its last key first).
+    order = np.lexsort(scores.T[::-1]) if k else np.arange(n)
+    ranked = scores[order]
     dominated = np.zeros(n, dtype=bool)
     counts = np.zeros(n, dtype=np.int64)
+    # Sorted positions of the front found so far, in ascending order.
+    front = np.empty(n, dtype=np.int64)
+    n_front = 0
     for block in population_blocks(n, block_size):
-        dom = _dominance_block(scores, scores[block], kernels)
-        dominated[block] = np.any(dom, axis=0)
-        counts += dom.sum(axis=1)
-    nd_mask = ~dominated
-    counts[dominated] = 0
-    return nd_mask, counts
+        candidates = ranked[block]
+        own = _dominance_block(candidates, candidates, kernels)
+        hit = np.any(own, axis=0)
+        if n_front:
+            earlier = front[:n_front]
+            prior = _dominance_block(ranked[earlier], candidates, kernels)
+            hit |= np.any(prior, axis=0)
+            counts[earlier] += prior.sum(axis=1)
+        new = np.flatnonzero(~hit)
+        counts[block.start + new] = own[new].sum(axis=1)
+        front[n_front : n_front + new.size] = block.start + new
+        n_front += new.size
+        dominated[block] = hit
+    nd_mask = np.empty(n, dtype=bool)
+    nd_mask[order] = ~dominated
+    member_counts = np.empty(n, dtype=np.int64)
+    member_counts[order] = counts
+    return nd_mask, member_counts
 
 
 def non_dominated_mask(
@@ -131,21 +178,15 @@ def non_dominated_mask(
     scores:
         ``(N, K)`` score matrix.
     block_size:
-        Column chunk size (see :func:`repro.scoring.pairwise.population_blocks`);
-        the peak temporary is ``(N, B, K)`` instead of ``(N, N, K)``.
+        Member chunk size (see :func:`repro.scoring.pairwise.population_blocks`);
+        the result is bit-identical for every value.
     kernels:
         Optional kernel bundle the block comparisons run through.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("scores must have shape (N, K)")
-    n = scores.shape[0]
-    dominated = np.zeros(n, dtype=bool)
-    for block in population_blocks(n, block_size):
-        dominated[block] = np.any(
-            _dominance_block(scores, scores[block], kernels), axis=0
-        )
-    return ~dominated
+    return _front_pass(scores, block_size, kernels)[0]
 
 
 def strength_fitness(
@@ -178,20 +219,21 @@ def strength_fitness(
     n = scores.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    nd_mask, counts = _strength_pass(scores, block_size, kernels)
+    nd_mask, counts = _front_pass(scores, block_size, kernels)
 
     fitness = np.empty(n, dtype=np.float64)
     # Non-dominated: fitness equals own strength (< 1 by construction).
     fitness[nd_mask] = counts[nd_mask] / float(n)
-    # Dominated: 1 + sum of strengths of the non-dominated members that
-    # dominate them.  The strengths share the denominator n, so the sum is
+    # Dominated: 1 + sum of strengths of the front members that dominate
+    # them.  The strengths share the denominator n, so the sum is
     # accumulated on the integer domination counts and divided once —
-    # exact, hence independent of the column chunking.
-    dominated_idx = np.where(~nd_mask)[0]
+    # exact, hence independent of the chunking.
+    front, front_counts = scores[nd_mask], counts[nd_mask]
+    dominated_idx = np.flatnonzero(~nd_mask)
     for block in population_blocks(dominated_idx.size, block_size):
         cols = dominated_idx[block]
-        dominators = _dominance_block(scores, scores[cols], kernels) & nd_mask[:, None]
-        count_sums = (counts[:, None] * dominators).sum(axis=0)
+        dominators = _dominance_block(front, scores[cols], kernels)
+        count_sums = (front_counts[:, None] * dominators).sum(axis=0)
         fitness[cols] = 1.0 + count_sums / float(n)
     return fitness
 
@@ -216,9 +258,9 @@ def fitness_against(
     query_scores:
         ``(Q, K)`` scores of the query conformations.
     block_size:
-        Query chunk size bounding the ``(N, Q)`` cross-dominance temporaries
-        (``None`` or ``0`` selects the engine default); the result is
-        bit-identical for every value.
+        Chunk size of the reference and query blocks (``None`` or ``0``
+        selects the engine default); the result is bit-identical for every
+        value.
     kernels:
         Optional kernel bundle the block comparisons run through.
 
@@ -237,16 +279,18 @@ def fitness_against(
     if n == 0:
         return np.zeros(q, dtype=np.float64)
 
-    # Domination counts of the reference set (chunked over reference
-    # columns); counts of dominated reference members are already zeroed.
-    ref_nd, ref_counts = _strength_pass(reference_scores, block_size, kernels)
+    # A query is dominated by some reference member exactly when it is
+    # dominated by a member of the reference front (transitivity), and only
+    # front members carry strength, so the queries meet the front alone.
+    ref_nd, ref_counts = _front_pass(reference_scores, block_size, kernels)
+    front, front_counts = reference_scores[ref_nd], ref_counts[ref_nd]
 
     fitness = np.empty(q, dtype=np.float64)
     for block in population_blocks(q, block_size):
         queries = query_scores[block]
-        # (N, B): reference member i dominates query j of the block.
-        ref_dominates_query = _dominance_block(reference_scores, queries, kernels)
-        query_nd = ~np.any(ref_dominates_query, axis=0)  # (B,)
+        # (F, B): front member i dominates query j of the block.
+        dominators = _dominance_block(front, queries, kernels)
+        query_nd = ~np.any(dominators, axis=0)  # (B,)
         block_fitness = np.empty(queries.shape[0], dtype=np.float64)
 
         # Non-dominated queries: strength relative to the reference set
@@ -257,13 +301,11 @@ def fitness_against(
                 queries[query_nd], reference_scores, kernels
             )
             block_fitness[query_nd] = query_dominates_ref.sum(axis=1) / float(n)
-        # Dominated queries: 1 + sum of strengths of dominating
-        # non-dominated reference members (full reference-axis reduction).
+        # Dominated queries: 1 + sum of strengths of the dominating front
+        # members (integer count accumulation, one division).
         dominated = ~query_nd
         if np.any(dominated):
-            dominators = ref_dominates_query[:, dominated] & ref_nd[:, None]
-            # Integer count accumulation, one division (see strength_fitness).
-            count_sums = (ref_counts[:, None] * dominators).sum(axis=0)
+            count_sums = (front_counts[:, None] * dominators[:, dominated]).sum(axis=0)
             block_fitness[dominated] = 1.0 + count_sums / float(n)
         fitness[block] = block_fitness
     return fitness

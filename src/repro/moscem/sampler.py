@@ -30,7 +30,6 @@ from repro.loops.loop import LoopTarget
 from repro.loops.ramachandran import RamachandranModel
 from repro.moscem.complexes import partition_population
 from repro.moscem.decoys import DecoySet
-from repro.moscem.dominance import non_dominated_mask
 from repro.moscem.metropolis import TemperatureSchedule, metropolis_accept
 from repro.moscem.mutation import mutate_population
 from repro.moscem.population import Population
@@ -376,7 +375,8 @@ class MOSCEMSampler:
         return SamplingResult(
             population=population,
             rmsd=rmsd,
-            non_dominated=non_dominated_mask(population.scores),
+            # Eq. (1): fitness < 1 exactly on the non-dominated front.
+            non_dominated=population.fitness < 1.0,
             recorder=recorder if recorder is not None else TrajectoryRecorder(),
             host_ledger=host_ledger if host_ledger is not None else TimingLedger(),
             kernel_ledger=self.backend.ledger,

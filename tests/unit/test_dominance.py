@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dominance_oracle as oracle
 from repro.moscem.dominance import (
     dominance_matrix,
     dominates,
@@ -10,6 +11,8 @@ from repro.moscem.dominance import (
     non_dominated_mask,
     strength_fitness,
 )
+from repro.scoring.pairwise import resolve_block_size
+from repro.xp import numpy_kernels
 
 
 class TestDominates:
@@ -148,7 +151,7 @@ class TestFitnessAgainst:
 
 
 class TestChunkedFitnessKernels:
-    """The chunked kernels are bit-identical to the dense (one-block) path."""
+    """Every block size reproduces the all-pairs oracle bit for bit."""
 
     def _scores(self, n, k=3, seed=0):
         rng = np.random.default_rng(seed)
@@ -158,16 +161,16 @@ class TestChunkedFitnessKernels:
     @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 128, 0, None])
     def test_strength_fitness_block_invariant(self, block_size):
         scores = self._scores(150)
-        dense = strength_fitness(scores, block_size=10_000)
-        assert np.array_equal(strength_fitness(scores, block_size=block_size), dense)
+        expected = oracle.strength_fitness(scores, block_size=10_000)
+        assert np.array_equal(strength_fitness(scores, block_size=block_size), expected)
 
     @pytest.mark.parametrize("block_size", [1, 3, 8, 0, None])
     def test_fitness_against_block_invariant(self, block_size):
         reference = self._scores(90, seed=1)
         queries = self._scores(37, seed=2)
-        dense = fitness_against(reference, queries, block_size=10_000)
+        expected = oracle.fitness_against(reference, queries, block_size=10_000)
         assert np.array_equal(
-            fitness_against(reference, queries, block_size=block_size), dense
+            fitness_against(reference, queries, block_size=block_size), expected
         )
 
     @pytest.mark.parametrize("block_size", [1, 5, 0])
@@ -175,7 +178,7 @@ class TestChunkedFitnessKernels:
         scores = self._scores(120, seed=3)
         assert np.array_equal(
             non_dominated_mask(scores, block_size=block_size),
-            non_dominated_mask(scores),
+            oracle.non_dominated_mask(scores, block_size=10_000),
         )
 
     def test_chunked_matches_dominance_matrix_definition(self):
@@ -200,3 +203,60 @@ class TestChunkedFitnessKernels:
     def test_empty_and_single(self):
         assert strength_fitness(np.zeros((0, 3)), block_size=4).shape == (0,)
         assert strength_fitness(np.zeros((1, 3)), block_size=4)[0] == 0.0
+
+
+class _PairCountingKernels:
+    """Numpy kernel bundle that counts the member pairs it compares."""
+
+    def __init__(self):
+        self._inner = numpy_kernels()
+        self.pairs = 0
+
+    def dominance_columns(self, scores, column_scores):
+        self.pairs += scores.shape[0] * column_scores.shape[0]
+        return self._inner.dominance_columns(scores, column_scores)
+
+    def to_numpy(self, array):
+        return self._inner.to_numpy(array)
+
+
+class TestFrontFirstComplexity:
+    """Pairs compared stay within ``N·(2|F| + B)``, far below ``N^2``.
+
+    Counted through the ``kernels=`` route, so the guard is deterministic:
+    a regression to all-pairs comparison fails on any host.
+    """
+
+    N = 2048
+    BLOCK = 128
+
+    def _small_front(self):
+        return np.random.default_rng(11).normal(size=(self.N, 3))
+
+    def _large_front(self):
+        rng = np.random.default_rng(12)
+        a = rng.random(self.N)
+        return np.stack([a, 1.0 - a + 0.02 * rng.random(self.N)], axis=1)
+
+    @pytest.mark.parametrize("case", ["_small_front", "_large_front"])
+    def test_strength_fitness_pairs_bounded(self, case):
+        scores = getattr(self, case)()
+        spy = _PairCountingKernels()
+        fitness = strength_fitness(scores, block_size=self.BLOCK, kernels=spy)
+        front = int(np.count_nonzero(fitness < 1.0))
+        block = resolve_block_size(self.BLOCK, self.N)
+        assert spy.pairs <= self.N * (2 * front + block)
+        assert np.array_equal(
+            fitness, oracle.strength_fitness(scores, block_size=self.BLOCK)
+        )
+
+    @pytest.mark.parametrize("case", ["_small_front", "_large_front"])
+    def test_non_dominated_mask_pairs_bounded(self, case):
+        scores = getattr(self, case)()
+        spy = _PairCountingKernels()
+        mask = non_dominated_mask(scores, block_size=self.BLOCK, kernels=spy)
+        assert spy.pairs <= self.N * (int(mask.sum()) + self.BLOCK)
+
+    def test_fronts_have_the_intended_sizes(self):
+        assert non_dominated_mask(self._small_front()).sum() < 64
+        assert 200 <= non_dominated_mask(self._large_front()).sum() <= 800

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import DecoyGenerationConfig, SamplingConfig
 from repro.moscem.baseline import SimulatedAnnealingBaseline
+from repro.moscem.dominance import non_dominated_mask
 from repro.moscem.sampler import MOSCEMSampler
 
 
@@ -40,6 +41,13 @@ class TestMOSCEMSampler:
     def test_fitness_identifies_front(self, small_run):
         fitness = small_run.population.fitness
         np.testing.assert_array_equal(fitness < 1.0, small_run.non_dominated)
+
+    def test_front_matches_dominance_mask(self, small_run):
+        # The front is read off the final fitness; pin it to the
+        # dominance definition on the final scores.
+        np.testing.assert_array_equal(
+            small_run.non_dominated, non_dominated_mask(small_run.population.scores)
+        )
 
     def test_snapshots_recorded(self, small_run, tiny_config):
         by_iteration = small_run.recorder.by_iteration()
