@@ -14,15 +14,37 @@ round-trip property of :mod:`repro.geometry` guarantees the two
 representations stay consistent.
 
 The batched kernel has two execution paths.  The default (``kernels=None``)
-is the original numpy implementation: converged members are sliced out of
-each sweep and only members with a non-trivial angle are rotated.  When a
-:class:`~repro.xp.dispatch.KernelBundle` is supplied, each sweep instead
-runs the generic :func:`_ccd_sweep` kernel — a full-population masked
-sweep in which excluded members get a ``0.0`` angle and keep their
-original coordinates through a ``where`` selection.  The masked sweep
-computes bit-identical coordinates to the subset path while keeping
-every array shape static — the property that lets the jax tier compile
-one sweep as one ``jit`` unit.
+is a numpy **component-major sweep**:
+
+* *Layout.*  The population's atoms are held as one ``(3, n*4+3, P)``
+  array, members last, so each coordinate component of a pivot's tail is
+  a ``(m, P)`` block whose rows are contiguous over the members.  The
+  tail is rotated in place with the Rodrigues expression tree of
+  :func:`repro.geometry.rotation._rotate_points_about_axes`
+  (``x*c + (ky*z - kz*y)*s + kx*t + ox`` with
+  ``t = (x*kx + y*ky + z*kz)*(1-c)``); every operation is elementwise, so
+  the layout cannot change a bit.
+* *Start-sorted prefixes.*  Members are stably sorted by start index once
+  per call, so at pivot ``j`` the members allowed to move (``start <= j``)
+  are a contiguous prefix found with ``searchsorted``: members whose
+  mutation point lies past the pivot cost nothing.  Members that converge
+  leave the working array by a stable compaction, which keeps the
+  remaining starts sorted; the caller's order is restored at the end.
+* *Reductions unchanged.*  The axis normalisation, the degenerate-axis
+  ``einsum`` and :func:`~repro.scoring.pairwise.rotation_alignment_terms`
+  run on C-contiguous member-major ``(k, 3)``/``(k, 3, 3)`` gathers.  An
+  ``einsum`` over three terms sums in an order that depends on the memory
+  layout of its operands (``(x0²+x2²)+x1²`` on a C-ordered ``(k, 3)``, a
+  different last bit on an F-ordered one), so these reductions must see
+  the same layout the member-major path gave them.
+
+When a :class:`~repro.xp.dispatch.KernelBundle` is supplied, each sweep
+instead runs the generic :func:`_ccd_sweep` kernel: a full-population
+masked sweep in which excluded members get a ``0.0`` angle and keep their
+original coordinates through a ``where`` selection.  It computes
+bit-identical coordinates to the component-major sweep while keeping
+every array shape static, the property that lets the jax tier compile one
+sweep as one ``jit`` unit.
 """
 
 from __future__ import annotations
@@ -39,7 +61,6 @@ from repro.geometry.rotation import (
     _normalize_last_axis,
     _rotate_points_about_axes,
     rotate_about_axis,
-    rotate_points_about_axes_batch,
 )
 from repro.geometry.vectors import normalize
 from repro.loops.loop import LoopTarget
@@ -201,7 +222,7 @@ def _ccd_sweep(xp, moving, anchors, start_indices, active, n_torsions):
     per-member start indices, the noise guard or a degenerate pivot axis
     get a ``0.0`` angle and their original coordinates are re-selected
     after the rotation, so this computes bit-identical coordinates to the
-    subset path of :func:`ccd_close_batch`.
+    component-major sweep of :func:`ccd_close_batch`.
     """
     for j in range(n_torsions):
         b_idx, c_idx, move_start = _pivot_indices(j)
@@ -213,7 +234,7 @@ def _ccd_sweep(xp, moving, anchors, start_indices, active, n_torsions):
             xp, moving[:, -3:, :], anchors, origins, axes
         )
         angles = xp.arctan2(b, a)
-        # Same exclusions as the numpy subset path, expressed as masks:
+        # Same exclusions as the component-major sweep, expressed as masks:
         # pivots before a member's mutation point, pure-noise gradient
         # terms, degenerate axes, converged members, sub-threshold angles.
         angles = xp.where(start_indices <= j, angles, 0.0)
@@ -226,7 +247,7 @@ def _ccd_sweep(xp, moving, anchors, start_indices, active, n_torsions):
         # Rotations below the angle threshold are discarded by selection,
         # not by rotating with a zero angle: ``(p - origin) + origin`` is
         # a lossy round trip, so excluded members must keep their original
-        # coordinates verbatim for the sweep to match the subset path bit
+        # coordinates verbatim for the sweep to match the numpy path bit
         # for bit.
         rotating = xp.abs(angles) > 1e-10
         tail = moving[:, move_start:, :]
@@ -236,6 +257,72 @@ def _ccd_sweep(xp, moving, anchors, start_indices, active, n_torsions):
         tail = xp.where(rotating[:, None, None], rotated, tail)
         moving = xp.concatenate((moving[:, :move_start, :], tail), axis=1)
     return moving
+
+
+def _rotate_tail(tail, origin, axes, angles) -> None:
+    """Rodrigues-rotate a component-major ``(3, m, k)`` tail in place.
+
+    ``origin`` is the ``(3, k)`` pivot atom, ``axes`` the ``(k, 3)`` unit
+    axes and ``angles`` the ``(k,)`` angles.  Each component is the same
+    expression tree as :func:`~repro.geometry.rotation._rotate_points_about_axes`
+    evaluates on member-major points, so the coordinates are bit-identical.
+    """
+    ox, oy, oz = origin
+    kx, ky, kz = np.ascontiguousarray(axes.T)
+    c = np.cos(angles)
+    s = np.sin(angles)
+    x = tail[0] - ox
+    y = tail[1] - oy
+    z = tail[2] - oz
+    t = (x * kx + y * ky + z * kz) * (1.0 - c)
+    tail[0] = x * c + (ky * z - kz * y) * s + kx * t + ox
+    tail[1] = y * c + (kz * x - kx * z) * s + ky * t + oy
+    tail[2] = z * c + (kx * y - ky * x) * s + kz * t + oz
+
+
+def _closure_ends(loop) -> np.ndarray:
+    """The ``(P, 3, 3)`` closure atoms of a component-major loop."""
+    return np.ascontiguousarray(loop[:, -3:, :].transpose(2, 1, 0))
+
+
+def _component_sweep(loop, starts, anchors, n_torsions) -> None:
+    """One in-place CCD sweep over a component-major ``(3, n*4+3, P)`` loop.
+
+    ``starts`` holds the members' start indices in ascending order, so the
+    members a pivot may move are the prefix ``loop[..., :k]``.
+    """
+    prefixes = np.searchsorted(starts, np.arange(n_torsions), side="right")
+    for j, k in enumerate(prefixes):
+        if k == 0:
+            continue
+        b_idx, c_idx, move_start = _pivot_indices(j)
+        live = loop[..., :k]
+        origin = live[:, b_idx, :]
+        # The reductions run on C-contiguous member-major gathers: einsum's
+        # summation order depends on the memory layout of its operands.
+        origins = np.ascontiguousarray(origin.T)
+        raw_axes = np.ascontiguousarray((live[:, c_idx, :] - origin).T)
+        axes = normalize(raw_axes)
+        a, b = rotation_alignment_terms(_closure_ends(live), anchors, origins, axes)
+        angles = np.arctan2(b, a)
+        # Members whose gradient terms are pure noise keep the pivot fixed,
+        # as do members with a degenerate (zero-length) pivot axis: the
+        # scalar kernel skips the latter with its `norm < _EPS` guard, and
+        # rotating about a near-zero axis would scale the tail.
+        angles = np.where((np.abs(a) < _EPS) & (np.abs(b) < _EPS), 0.0, angles)
+        angles = np.where(
+            np.einsum("pi,pi->p", raw_axes, raw_axes) < _EPS * _EPS, 0.0, angles
+        )
+        rotating = np.abs(angles) > 1e-10
+        if np.all(rotating):
+            _rotate_tail(live[:, move_start:, :], origin, axes, angles)
+        elif np.any(rotating):
+            # Only rotate the members that actually move: a 0.0-angle
+            # rotation is not a bit-exact identity.
+            move = np.flatnonzero(rotating)
+            tail = live[:, move_start:, move]
+            _rotate_tail(tail, origin[:, move], axes[move], angles[move])
+            live[:, move_start:, move] = tail
 
 
 def ccd_close_batch(
@@ -269,8 +356,8 @@ def ccd_close_batch(
     kernels:
         Optional :class:`~repro.xp.dispatch.KernelBundle`: sweeps run as
         the masked full-population :func:`_ccd_sweep` kernel (one jit unit
-        per sweep on a compiling namespace) instead of the numpy subset
-        path.  Both paths produce the same coordinates.
+        per sweep on a compiling namespace) instead of the numpy
+        component-major sweep.  Both paths produce the same coordinates.
     """
     torsions = np.asarray(torsions, dtype=np.float64)
     n = target.n_residues
@@ -289,84 +376,27 @@ def ccd_close_batch(
 
     coords, closure = target.build_batch(torsions)
     moving = np.concatenate(
-        [coords.reshape(pop, -1, 3), closure], axis=1
+        [coords.reshape(pop, n * _ATOMS, 3), closure], axis=1
     )  # (P, n*4+3, 3)
     anchors = target.c_anchor  # (3, 3)
 
-    errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
-    converged_at = np.where(errors <= tolerance, 0, max_iterations).astype(np.int64)
-
-    for sweep in range(max_iterations):
-        active = errors > tolerance
-        if not np.any(active):
-            break
-        if kernels is not None:
+    if kernels is None:
+        moving, errors, converged_at = _close_component_major(
+            moving, start_indices, anchors, max_iterations, tolerance, 2 * n
+        )
+    else:
+        errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
+        converged_at = np.where(errors <= tolerance, 0, max_iterations).astype(np.int64)
+        for sweep in range(max_iterations):
+            active = errors > tolerance
+            if not np.any(active):
+                break
             moving = kernels.to_numpy(
                 kernels.ccd_sweep(moving, anchors, start_indices, active, 2 * n)
             )
             errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
             newly = (errors <= tolerance) & (converged_at == max_iterations)
             converged_at[newly] = sweep + 1
-            continue
-        # Converged members are excluded from the whole sweep, not just the
-        # rotations: all per-pivot math runs on the active subset only, so
-        # the cost of a sweep shrinks as the population closes (matching
-        # the scalar kernel, whose converged members simply stop sweeping).
-        subset = not np.all(active)
-        if subset:
-            rows = np.where(active)[0]
-            sub = moving[rows]
-            sub_starts = start_indices[rows]
-        else:
-            sub = moving
-            sub_starts = start_indices
-        for j in range(2 * n):
-            b_idx, c_idx, move_start = _pivot_indices(j)
-            origins = sub[:, b_idx, :]
-            raw_axes = sub[:, c_idx, :] - origins
-            axes = normalize(raw_axes)
-
-            # The per-pivot math is the shared pairwise engine's
-            # gather-and-reduce primitive (the same expanded perpendicular
-            # products _optimal_angle evaluates per member).
-            a, b = rotation_alignment_terms(
-                sub[:, -3:, :], anchors, origins, axes
-            )
-            angles = np.arctan2(b, a)
-            # Members whose mutation point is after this pivot keep it
-            # fixed, as do members whose gradient terms are pure noise and
-            # members with a degenerate (zero-length) pivot axis — the
-            # scalar kernel skips the latter with its `norm < _EPS` guard,
-            # and rotating about a near-zero axis would scale the tail.
-            angles = np.where(sub_starts <= j, angles, 0.0)
-            angles = np.where((np.abs(a) < _EPS) & (np.abs(b) < _EPS), 0.0, angles)
-            angles = np.where(
-                np.einsum("pi,pi->p", raw_axes, raw_axes) < _EPS * _EPS, 0.0, angles
-            )
-            rotating = np.abs(angles) > 1e-10
-            if not np.any(rotating):
-                continue
-            if np.all(rotating):
-                sub[:, move_start:, :] = rotate_points_about_axes_batch(
-                    sub[:, move_start:, :], origins, axes, angles, normalized=True
-                )
-            else:
-                # Only rotate the members that actually move instead of
-                # paying for identity rotations.
-                move = np.where(rotating)[0]
-                sub[move, move_start:, :] = rotate_points_about_axes_batch(
-                    sub[move, move_start:, :],
-                    origins[move],
-                    axes[move],
-                    angles[move],
-                    normalized=True,
-                )
-        if subset:
-            moving[rows] = sub
-
-        errors = coordinate_rmsd_batch(moving[:, -3:, :], anchors)
-        newly = (errors <= tolerance) & (converged_at == max_iterations)
-        converged_at[newly] = sweep + 1
 
     coords = moving[:, : n * _ATOMS, :].reshape(pop, n, _ATOMS, 3)
     closure = moving[:, n * _ATOMS:, :]
@@ -378,3 +408,51 @@ def ccd_close_batch(
         closure_error=errors,
         iterations=converged_at,
     )
+
+
+def _close_component_major(
+    moving: np.ndarray,
+    start_indices: np.ndarray,
+    anchors: np.ndarray,
+    max_iterations: int,
+    tolerance: float,
+    n_torsions: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy sweep loop; returns ``(moving, errors, converged_at)``.
+
+    Works in start-sorted member order on a ``(3, n*4+3, P)`` copy of
+    ``moving``.  Members leave the working array once they converge (a
+    stable compaction, so the remaining starts stay sorted); the caller's
+    order is restored at the end.
+    """
+    order = np.argsort(start_indices, kind="stable")
+    done = np.ascontiguousarray(moving[order].transpose(2, 1, 0))
+    errors = coordinate_rmsd_batch(_closure_ends(done), anchors)
+    converged_at = np.where(errors <= tolerance, 0, max_iterations).astype(np.int64)
+
+    live = np.flatnonzero(errors > tolerance)
+    loop = np.take(done, live, axis=2)
+    starts = start_indices[order][live]
+    for sweep in range(max_iterations):
+        if live.size == 0:
+            break
+        _component_sweep(loop, starts, anchors, n_torsions)
+        live_errors = coordinate_rmsd_batch(_closure_ends(loop), anchors)
+        errors[live] = live_errors
+        closed = live_errors <= tolerance
+        if np.any(closed):
+            converged_at[live[closed]] = sweep + 1
+            done[..., live[closed]] = np.compress(closed, loop, axis=2)
+            still_open = ~closed
+            live = live[still_open]
+            loop = np.compress(still_open, loop, axis=2)
+            starts = starts[still_open]
+    done[..., live] = loop
+
+    restored = np.empty_like(moving)
+    restored[order] = done.transpose(2, 1, 0)
+    unsorted_errors = np.empty_like(errors)
+    unsorted_errors[order] = errors
+    unsorted_converged = np.empty_like(converged_at)
+    unsorted_converged[order] = converged_at
+    return restored, unsorted_errors, unsorted_converged

@@ -54,6 +54,21 @@ __all__ = [
 _EPS = 1e-12
 
 
+def _cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors.
+
+    The same ``u1*v2 - u2*v1`` arithmetic as ``np.cross``, without its
+    axis-normalisation dispatch, which dominates on single vectors.
+    """
+    return np.array(
+        [
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        ]
+    )
+
+
 def place_atom(
     a: np.ndarray,
     b: np.ndarray,
@@ -74,9 +89,9 @@ def place_atom(
     bc = c - b
     bc /= max(np.linalg.norm(bc), _EPS)
     ab = b - a
-    n = np.cross(ab, bc)
+    n = _cross3(ab, bc)
     n /= max(np.linalg.norm(n), _EPS)
-    m = np.cross(n, bc)
+    m = _cross3(n, bc)
 
     # The sign of the out-of-plane component is chosen so that the dihedral
     # measured by :func:`repro.geometry.vectors.dihedral_angle` on the placed

@@ -52,8 +52,10 @@ def coordinate_rmsd_batch(population: np.ndarray, reference: np.ndarray) -> np.n
     population = np.asarray(population, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     pop = population.shape[0]
-    flat_pop = population.reshape(pop, -1, 3)
     flat_ref = reference.reshape(-1, 3)
+    # Explicit atom count: ``reshape(0, -1, 3)`` is ambiguous for P = 0.
+    atoms = population[0].size // 3 if pop else flat_ref.shape[0]
+    flat_pop = population.reshape(pop, atoms, 3)
     if flat_pop.shape[1] != flat_ref.shape[0]:
         raise ValueError(
             "population and reference have different numbers of atoms: "

@@ -1,5 +1,7 @@
 """Unit tests for the loops package: Ramachandran model, library, targets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,19 @@ class TestLoopLibrary:
 
     def test_default_library_cached(self):
         assert default_library(seed=2010, n_loops=50) is default_library(seed=2010, n_loops=50)
+
+    def test_default_library_bytes_pinned(self):
+        """The default library's sequences, torsions and coordinates are
+        pinned byte for byte: the scalar NeRF builder it runs on must not
+        drift by a bit."""
+        digest = hashlib.sha256()
+        for record in default_library().records:
+            digest.update(record.sequence.encode())
+            digest.update(record.torsions.tobytes())
+            digest.update(record.coords.tobytes())
+        assert digest.hexdigest() == (
+            "4667f2f5af2306a0a7874b5381ddac804dfc757c9ab84231c53d93fb8e085953"
+        )
 
 
 class TestBenchmarkRegistry:
