@@ -14,6 +14,11 @@ Run with::
 Set ``REPRO_BENCH_SCALE=default`` (or ``paper``) to rerun every benchmark at
 a larger scale.
 
+The benchmarks that write a ``BENCH_*.json`` report write it to the
+gitignored ``.bench-out/`` directory, so a test run leaves the committed
+reports alone.  Set ``REPRO_BENCH_UPDATE=1`` to overwrite the committed
+file at the repo root instead (see :func:`bench_output`).
+
 Every test collected from this directory carries the ``benchmarks`` marker
 (registered in ``pytest.ini``), so CI can split fast unit-test feedback from
 the experiment reruns: ``pytest -m "not benchmarks"`` for the former,
@@ -30,6 +35,10 @@ import pytest
 from repro.experiments import run_experiment
 
 _BENCH_DIR = pathlib.Path(__file__).resolve().parent
+_REPO_ROOT = _BENCH_DIR.parent
+
+#: Scratch directory for benchmark reports (gitignored).
+BENCH_OUT = _REPO_ROOT / ".bench-out"
 
 
 def pytest_collection_modifyitems(items):
@@ -46,6 +55,18 @@ def pytest_collection_modifyitems(items):
 def bench_scale() -> str:
     """Scale preset used by the benchmarks (``smoke`` unless overridden)."""
     return os.environ.get("REPRO_BENCH_SCALE", "smoke")
+
+
+def bench_output(name: str) -> pathlib.Path:
+    """Where a benchmark writes its ``name`` report.
+
+    ``.bench-out/<name>`` by default; the committed ``<name>`` at the repo
+    root only when ``REPRO_BENCH_UPDATE=1`` is set.
+    """
+    if os.environ.get("REPRO_BENCH_UPDATE") == "1":
+        return _REPO_ROOT / name
+    BENCH_OUT.mkdir(exist_ok=True)
+    return BENCH_OUT / name
 
 
 @pytest.fixture(scope="session")

@@ -18,8 +18,10 @@ routes:
   file comes from a CPU-only environment), so diffs of this file on a
   JAX-capable runner fill the column in rather than changing shape.
 
-Results land in ``BENCH_kernels.json`` at the repo root (committed, so
-facade-overhead and jit-speedup claims can be diffed against the tree).
+Results land in ``.bench-out/BENCH_kernels.json``; with
+``REPRO_BENCH_UPDATE=1`` they overwrite the committed ``BENCH_kernels.json``
+at the repo root, so facade-overhead and jit-speedup claims can be diffed
+against the tree.
 
 Run with ``pytest -m benchmarks benchmarks/test_kernel_bench.py -s``.
 """
@@ -27,7 +29,6 @@ Run with ``pytest -m benchmarks benchmarks/test_kernel_bench.py -s``.
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 from typing import Callable, Dict, Optional
 
@@ -44,10 +45,8 @@ from repro.scoring.pairwise import (
 )
 from repro.xp import bind_kernels, block_until_ready, has_jax, numpy_kernels
 
-from conftest import bench_scale
+from conftest import bench_output, bench_scale
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT = REPO_ROOT / "BENCH_kernels.json"
 
 #: Paper-scale population (120 complexes x 128 members) — fixed across
 #: scale presets: the point of this file is the paper-scale comparison.
@@ -177,7 +176,8 @@ def test_kernel_tiers_paper_scale():
         "numpy_bundle_seconds": numpy_bundle,
         "jax_jit_seconds": jax_jit,
     }
-    OUTPUT.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    output = bench_output("BENCH_kernels.json")
+    output.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
     print()
     print(f"kernel timings at population {PAPER_POPULATION} ({repeats} repeats):")
@@ -190,7 +190,7 @@ def test_kernel_tiers_paper_scale():
             row += f"  bundle {bundle:8.4f}s"
         row += f"  jit {jit:8.4f}s" if jit is not None else "  jit      n/a"
         print(row)
-    print(f"wrote {OUTPUT.name}")
+    print(f"wrote {output}")
 
     # The facade's dispatch layer must be invisible at paper scale: the
     # bundle route re-runs the identical numpy kernels, so anything past

@@ -2,9 +2,10 @@
 
 Drains the same campaign with tracing off and tracing on (min of N
 repetitions each, fresh stores every time so no run resumes another's
-checkpoints) and writes the relative overhead to ``BENCH_obs.json`` at
-the repo root (committed, so reviewers can diff tracing-cost claims
-against the tree).  The acceptance gate is the tentpole's promise:
+checkpoints) and writes the relative overhead to
+``.bench-out/BENCH_obs.json`` (the committed ``BENCH_obs.json`` at the
+repo root with ``REPRO_BENCH_UPDATE=1``, so reviewers can diff
+tracing-cost claims against the tree).  The acceptance gate is the tentpole's promise:
 **a traced drain stays within 3% of an untraced one** — spans piggyback
 on the checkpoint cadence and the kernel ledger the sampler keeps
 anyway, so tracing adds bookkeeping, not measurement.
@@ -27,10 +28,8 @@ from repro.config import SamplingConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import RunStore
 
-from conftest import bench_scale
+from conftest import bench_output, bench_scale
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT = REPO_ROOT / "BENCH_obs.json"
 
 _SCALED = {
     "smoke": SamplingConfig(population_size=16, n_complexes=4, iterations=6),
@@ -131,7 +130,8 @@ def test_obs_benchmarks(tmp_path, capsys):
         "inc_cost_ns": round(1e9 * inc_seconds / rounds, 1),
     }
 
-    OUTPUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    output = bench_output("BENCH_obs.json")
+    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     with capsys.disabled():
-        print(f"\nwrote {OUTPUT}")
+        print(f"\nwrote {output}")
         print(json.dumps(report, indent=2, sort_keys=True))

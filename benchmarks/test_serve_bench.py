@@ -1,8 +1,9 @@
 """Serving-layer benchmark: cache hit latency, fleet drain, lease cost.
 
 Measures the three numbers the serving layer is sold on and writes them
-to ``BENCH_serve.json`` at the repo root (committed, so reviewers can
-diff serving-regression claims against the tree):
+to ``.bench-out/BENCH_serve.json`` (the committed ``BENCH_serve.json`` at
+the repo root with ``REPRO_BENCH_UPDATE=1``, so reviewers can diff
+serving-regression claims against the tree):
 
 * **cache hit latency** — wall time for a daemon pass to fill an entire
   identical campaign from the content-addressed cache, per cell, versus
@@ -18,7 +19,6 @@ Run with ``pytest -m benchmarks benchmarks/test_serve_bench.py -s``.
 from __future__ import annotations
 
 import json
-import pathlib
 import threading
 import time
 
@@ -28,10 +28,8 @@ from repro.runtime import RunStore
 from repro.serve.cache import ResultCache
 from repro.serve.leases import LeaseManager
 
-from conftest import bench_scale
+from conftest import bench_output, bench_scale
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-OUTPUT = REPO_ROOT / "BENCH_serve.json"
 
 _SCALED = {
     "smoke": SamplingConfig(population_size=16, n_complexes=4, iterations=4),
@@ -158,7 +156,8 @@ def test_serve_benchmarks(tmp_path, capsys):
         max(0.0, leased_seconds / exec_seconds - 1.0), 4
     )
 
-    OUTPUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    output = bench_output("BENCH_serve.json")
+    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     with capsys.disabled():
-        print(f"\nwrote {OUTPUT}")
+        print(f"\nwrote {output}")
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -8,6 +8,8 @@ in the range (-pi, pi].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.constants import TWO_PI
@@ -48,6 +50,13 @@ def wrap_angle(angle):
 
     Works element-wise on arrays of any shape and on Python scalars.
     """
+    if isinstance(angle, float) and math.isfinite(angle):
+        # Scalar fast path: the same IEEE operations as the array path
+        # without its array round trip.  ``math.floor`` raises on nan/inf,
+        # which the array path maps to nan, so those fall through.
+        x = float(angle)
+        wrapped = x - TWO_PI * float(math.floor((x + math.pi) / TWO_PI))
+        return wrapped + TWO_PI if wrapped <= -math.pi else wrapped
     arr = np.asarray(angle, dtype=np.float64)
     wrapped = arr - TWO_PI * np.floor((arr + np.pi) / TWO_PI)
     # floor maps +pi to +pi (not -pi); enforce the half-open convention.

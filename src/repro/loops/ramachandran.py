@@ -11,8 +11,10 @@ Used in three places:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -23,16 +25,42 @@ from repro.protein.residue import validate_sequence
 __all__ = ["RamachandranModel", "sample_basin", "sample_loop_torsions"]
 
 
-def sample_basin(aa: str, rng: np.random.Generator) -> Tuple[float, float]:
-    """Draw one (phi, psi) pair for residue type ``aa`` from its basin mixture."""
+#: One basin: (phi_mean, psi_mean, phi_sigma, psi_sigma, weight).
+_Basin = Tuple[float, float, float, float, float]
+
+
+@lru_cache(maxsize=None)
+def _basin_table(aa: str) -> Tuple[Tuple[_Basin, ...], Tuple[float, ...]]:
+    """The basin tuple of residue type ``aa`` and its basin-draw CDF.
+
+    The CDF is built exactly as ``Generator.choice(k, p=weights)`` builds
+    it from the normalised weights (cumulative sum, then divided by its
+    last entry), so :func:`_draw_basin` returns the index ``choice`` would.
+    """
     basins = constants.ramachandran_basins(aa)
     weights = np.array([b[4] for b in basins])
-    weights = weights / weights.sum()
-    idx = rng.choice(len(basins), p=weights)
-    phi_mean, psi_mean, phi_sigma, psi_sigma, _w = basins[idx]
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return basins, tuple(cdf.tolist())
+
+
+def _draw_basin(cdf: Tuple[float, ...], rng: np.random.Generator) -> int:
+    """Draw a basin index from ``cdf``.
+
+    Consumes one ``rng.random()`` double and picks the first bin whose
+    cumulative weight exceeds it: the same draw and the same stream use as
+    ``rng.choice(len(cdf), p=weights)``, without its per-call array set-up.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+def sample_basin(aa: str, rng: np.random.Generator) -> Tuple[float, float]:
+    """Draw one (phi, psi) pair for residue type ``aa`` from its basin mixture."""
+    basins, cdf = _basin_table(aa)
+    phi_mean, psi_mean, phi_sigma, psi_sigma, _w = basins[_draw_basin(cdf, rng)]
     phi = wrap_angle(rng.normal(phi_mean, phi_sigma))
     psi = wrap_angle(rng.normal(psi_mean, psi_sigma))
-    return float(phi), float(psi)
+    return phi, psi
 
 
 def sample_loop_torsions(
@@ -56,21 +84,21 @@ def sample_loop_torsions(
     seq = validate_sequence(sequence)
     if not (0.0 <= smoothness < 1.0):
         raise ValueError("smoothness must be in [0, 1)")
-    torsions = np.zeros(2 * len(seq), dtype=np.float64)
+    torsions: List[float] = []
     prev_basin: Optional[int] = None
-    for i, aa in enumerate(seq):
-        basins = constants.ramachandran_basins(aa)
-        weights = np.array([b[4] for b in basins])
-        weights = weights / weights.sum()
+    for aa in seq:
+        basins, cdf = _basin_table(aa)
+        # The smoothness draw is taken only when the predecessor's basin
+        # exists for this residue type.
         if prev_basin is not None and prev_basin < len(basins) and rng.random() < smoothness:
             idx = prev_basin
         else:
-            idx = int(rng.choice(len(basins), p=weights))
+            idx = _draw_basin(cdf, rng)
         phi_mean, psi_mean, phi_sigma, psi_sigma, _w = basins[idx]
-        torsions[2 * i] = wrap_angle(rng.normal(phi_mean, phi_sigma))
-        torsions[2 * i + 1] = wrap_angle(rng.normal(psi_mean, psi_sigma))
+        torsions.append(wrap_angle(rng.normal(phi_mean, phi_sigma)))
+        torsions.append(wrap_angle(rng.normal(psi_mean, psi_sigma)))
         prev_basin = idx
-    return torsions
+    return np.array(torsions, dtype=np.float64)
 
 
 @dataclass

@@ -68,6 +68,12 @@ for _idx, (_a, _b) in enumerate(_PAIRS):
     _PAIR_LOOKUP[(_a, _b)] = _idx
     _PAIR_LOOKUP[(_b, _a)] = _idx
 
+#: ``_ATOM_PAIR_GRID[a, b]`` is :func:`atom_pair_index` ``(a, b)``.
+_ATOM_PAIR_GRID = np.array(
+    [[_PAIR_LOOKUP[(a, b)] for b in range(_N_ATOM_TYPES)] for a in range(_N_ATOM_TYPES)],
+    dtype=np.int64,
+)
+
 #: Number of unordered backbone atom-type pairs.
 N_ATOM_PAIRS: int = len(_PAIRS)
 
@@ -171,51 +177,54 @@ def build_knowledge_base(library: LoopLibrary) -> KnowledgeBase:
         raise ValueError("cannot build a knowledge base from an empty library")
 
     # ------------------------------------------------------------------
-    # Triplet torsion histograms.
+    # Triplet torsion histograms.  Every count is an integer, so the
+    # histograms are integer ``bincount``s and the pseudo-count is added
+    # once at the end: the same float64 values as incrementing a table
+    # pre-filled with ``_PSEUDOCOUNT`` one residue at a time.
     # ------------------------------------------------------------------
-    triplet_counts = np.full(
-        (N_TRIPLET_CLASSES, TORSION_BINS, TORSION_BINS), _PSEUDOCOUNT, dtype=np.float64
-    )
+    classes = []
     for record in library:
         seq = record.sequence
-        torsions = record.torsions
-        n = len(seq)
-        for i in range(n):
-            prev_aa = seq[i - 1] if i > 0 else seq[i]
-            next_aa = seq[i + 1] if i + 1 < n else seq[i]
-            cls = triplet_class_index(prev_aa, seq[i], next_aa)
-            pb = int(torsion_bin(np.array([torsions[2 * i]]))[0])
-            sb = int(torsion_bin(np.array([torsions[2 * i + 1]]))[0])
-            triplet_counts[cls, pb, sb] += 1.0
+        # Terminal residues stand in for their missing neighbour.
+        padded = seq[:1] + seq + seq[-1:]
+        classes.extend(triplet_class_index(*padded[i : i + 3]) for i in range(len(seq)))
+    torsions = np.concatenate([record.torsions for record in library])
+    phi_bins, psi_bins = torsion_bin(torsions).reshape(-1, 2).T
+    cells = (np.asarray(classes, dtype=np.int64) * TORSION_BINS + phi_bins) * TORSION_BINS
+    triplet_hist = np.bincount(
+        cells + psi_bins, minlength=N_TRIPLET_CLASSES * TORSION_BINS * TORSION_BINS
+    )
+    triplet_counts = (
+        triplet_hist.reshape(N_TRIPLET_CLASSES, TORSION_BINS, TORSION_BINS) + _PSEUDOCOUNT
+    )
 
     triplet_prob = triplet_counts / triplet_counts.sum(axis=(1, 2), keepdims=True)
     triplet_neg_log = -np.log(triplet_prob)
 
     # ------------------------------------------------------------------
-    # Pairwise distance histograms.
+    # Pairwise distance histograms: per record, all residue pairs i < j
+    # at once, binned on the squared distances so histogram building and
+    # the runtime kernels share one edge-exact binning.
     # ------------------------------------------------------------------
-    dist_counts = np.full(
-        (N_ATOM_PAIRS, SEPARATION_CLASSES, DISTANCE_BINS), _PSEUDOCOUNT, dtype=np.float64
-    )
-    reference_counts = np.full(DISTANCE_BINS, _PSEUDOCOUNT, dtype=np.float64)
-
+    n_dist_cells = N_ATOM_PAIRS * SEPARATION_CLASSES * DISTANCE_BINS
+    dist_hist = np.zeros(n_dist_cells, dtype=np.int64)
+    reference_hist = np.zeros(DISTANCE_BINS, dtype=np.int64)
     for record in library:
         coords = record.coords  # (n, 4, 3)
-        n = coords.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                sep_cls = separation_class(j - i)
-                diff = coords[i][:, None, :] - coords[j][None, :, :]
-                # Bin the squared distances directly so histogram building
-                # and the runtime kernels share one edge-exact binning.
-                bins = distance_bin_sq(np.sum(diff * diff, axis=-1))  # (4, 4)
-                for a in range(_N_ATOM_TYPES):
-                    for b in range(_N_ATOM_TYPES):
-                        if bins[a, b] >= DISTANCE_BINS:
-                            continue  # beyond the table edge: no statistics
-                        pair = atom_pair_index(a, b)
-                        dist_counts[pair, sep_cls, bins[a, b]] += 1.0
-                        reference_counts[bins[a, b]] += 1.0
+        first, second = np.triu_indices(coords.shape[0], k=1)
+        diff = coords[first][:, :, None, :] - coords[second][:, None, :, :]
+        bins = distance_bin_sq(np.sum(diff * diff, axis=-1))  # (pairs, 4, 4)
+        sep_cls = np.minimum(second - first, SEPARATION_CLASSES) - 1
+        rows = _ATOM_PAIR_GRID[None, :, :] * SEPARATION_CLASSES + sep_cls[:, None, None]
+        in_range = bins < DISTANCE_BINS  # beyond the table edge: no statistics
+        dist_hist += np.bincount(
+            (rows * DISTANCE_BINS + bins)[in_range], minlength=n_dist_cells
+        )
+        reference_hist += np.bincount(bins[in_range], minlength=DISTANCE_BINS)
+    dist_counts = (
+        dist_hist.reshape(N_ATOM_PAIRS, SEPARATION_CLASSES, DISTANCE_BINS) + _PSEUDOCOUNT
+    )
+    reference_counts = reference_hist + _PSEUDOCOUNT
 
     dist_prob = dist_counts / dist_counts.sum(axis=2, keepdims=True)
     reference_prob = reference_counts / reference_counts.sum()

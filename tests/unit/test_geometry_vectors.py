@@ -46,6 +46,44 @@ class TestWrapAngle:
 
     def test_scalar_input_returns_float(self):
         assert isinstance(wrap_angle(7.0), float)
+        assert isinstance(wrap_angle(np.float64(7.0)), float)
+
+    @pytest.mark.parametrize(
+        "angle",
+        [
+            math.pi,
+            -math.pi,
+            3 * math.pi,
+            -3 * math.pi,
+            5 * math.pi,
+            -7 * math.pi,
+            math.nextafter(math.pi, 0.0),
+            math.nextafter(-math.pi, 0.0),
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+            math.nan,
+            math.inf,
+            -math.inf,
+        ],
+    )
+    def test_scalar_path_matches_array_path(self, angle):
+        """The Python-float fast path returns the array path's bytes."""
+        with np.errstate(invalid="ignore"):
+            expected = wrap_angle(np.asarray(angle))
+            results = [wrap_angle(angle), wrap_angle(np.float64(angle))]
+        for got in results:
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_scalar_path_matches_array_path_on_grid(self):
+        angles = np.concatenate(
+            [np.linspace(-50.0, 50.0, 2001), np.arange(-9, 10) * np.pi]
+        )
+        wrapped = wrap_angle(angles)
+        scalars = np.array([wrap_angle(float(a)) for a in angles])
+        assert scalars.tobytes() == wrapped.tobytes()
 
     def test_array_wrapping_in_range(self):
         angles = np.linspace(-10.0, 10.0, 101)

@@ -1,5 +1,7 @@
 """Unit tests for the scoring functions and the knowledge base."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.scoring.knowledge import (
     TORSION_BINS,
     atom_pair_index,
     build_knowledge_base,
+    default_knowledge_base,
     distance_bin,
     separation_class,
     torsion_bin,
@@ -121,6 +124,17 @@ class TestKnowledgeBase:
 
     def test_nbytes_positive(self, knowledge_base):
         assert knowledge_base.nbytes > 0
+
+    def test_default_knowledge_base_bytes_pinned(self):
+        """The default tables are pinned byte for byte: histogramming the
+        default library must not drift by a bit."""
+        kb = default_knowledge_base()
+        digest = hashlib.sha256()
+        digest.update(kb.triplet_neg_log.tobytes())
+        digest.update(kb.distance_neg_log.tobytes())
+        assert digest.hexdigest() == (
+            "9a80d1849f7e656ef7c98bde4b237cf174b9645e6e0975e6c23ece2dcf166933"
+        )
 
 
 class _FixedScore(ScoringFunction):
